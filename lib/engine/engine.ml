@@ -77,6 +77,20 @@ type t = {
   mutable cache_hits : int;
   mutable total_latency : int;
   mutable max_latency : int;
+  (* Round planner scratch, reused across batches (see [fetch_all]):
+     per waiting block its address, owner, replica disks (r per block,
+     flat) and list link; per physical disk the stamp of the round that
+     took it and how many waiting blocks list it; the blocks issued
+     this round and their chosen replicas. *)
+  mutable w_addr : addr array;
+  mutable w_owner : pending array;
+  mutable w_disks : int array;
+  mutable w_next : int array;
+  mutable issued : int array;
+  mutable issued_rep : int array;
+  taken : int array;
+  waiting_on : int array;
+  mutable stamp : int;
 }
 
 let create ?(config = default_config) dict =
@@ -88,13 +102,18 @@ let create ?(config = default_config) dict =
       Some (Cache.create dict.machine ~capacity_blocks:config.cache_blocks)
     else None
   in
+  let phys = Pdm.physical_disks dict.machine in
   {
     dict; cfg = config; cache; queue = Queue.create ();
     next_id = 0; round = 0; outcomes = [];
-    disk_load = Array.make (Pdm.physical_disks dict.machine) 0;
+    disk_load = Array.make phys 0;
     util = []; served = 0; batches = 0; fetch_rounds = 0; insert_rounds = 0;
     blocks_fetched = 0; coalesced = 0; cache_hits = 0; total_latency = 0;
     max_latency = 0;
+    w_addr = [||]; w_owner = [||]; w_disks = [||]; w_next = [||];
+    issued = [||]; issued_rep = [||];
+    taken = Array.make phys 0;
+    waiting_on = Array.make phys 0; stamp = 0;
   }
 
 let dict t = t.dict
@@ -196,55 +215,118 @@ let rec settle tbl st =
       settle tbl (k (List.map (fun a -> (a, Hashtbl.find tbl a)) addrs))
     else st
 
-(* One executor round: assign each wanted block to a free, healthy
-   replica disk (least cumulative load wins); blocks whose healthy
-   replicas are all busy wait for the next round. A block with no
-   healthy replica left is issued anyway on replica 0 so the machine's
+(* Grow the planner scratch to hold [n] waiting blocks of [r]
+   replicas; never shrinks, so a steady batch size allocates nothing. *)
+(* pdm-lint: domain local — planner scratch on t, owned by the engine's single domain *)
+let reserve t n r =
+  if Array.length t.w_next < n then begin
+    let cap = max n (2 * Array.length t.w_next) in
+    let blank = { Pdm.disk = 0; block = 0 } in
+    t.w_addr <- Array.make cap blank;
+    t.w_owner <-
+      Array.make cap { id = -1; request = Lookup 0; submitted = 0 };
+    t.w_next <- Array.make cap (-1);
+    t.issued <- Array.make cap 0;
+    t.issued_rep <- Array.make cap 0
+  end;
+  if Array.length t.w_disks < n * r then
+    t.w_disks <- Array.make (max (n * r) (2 * Array.length t.w_disks)) 0
+
+(* Engine rounds: each assigns every wanted block to a free, healthy
+   replica disk (least cumulative load wins, the first replica in home
+   order on ties); blocks whose healthy replicas are all busy wait for
+   the next round, in their original order. A block with no healthy
+   replica left is issued anyway on replica 0 so the machine's
    structured error surfaces — attributed to the oldest waiting
-   request. *)
-(* pdm-lint: domain local — round/util counters and scratch tables owned by the engine's single domain *)
+   request.
+
+   Replica disks are resolved once per call; waiting blocks form an
+   index-linked list in [w_next], so an issued block leaves in O(1); a
+   disk is taken for the round when [taken.(d)] holds the round's
+   stamp. [waiting_on.(d)] counts the waiting blocks that list disk d,
+   so [open_disks] — the disks with waiting blocks not yet taken this
+   round — says when no later block can be placed: the scan stops
+   there. A down disk is never taken, so while a waiting block lists
+   one the scan runs to the end of the list, and blocks without a
+   healthy replica are still issued. *)
+(* pdm-lint: domain local — round/util counters and planner scratch owned by the engine's single domain *)
 let fetch_all t tbl wanted =
   let m = t.dict.machine in
-  let remaining = ref wanted in
-  while !remaining <> [] do
-    let used = Hashtbl.create 16 in
-    let this_round = ref [] and defer = ref [] in
-    List.iter
-      (fun ((a, _p) as w) ->
-        (* one replica_disks call per block per round — the chosen
-           disk rides along in the issue triple so the post-read load
-           accounting need not re-derive the replica list *)
-        let disks = Pdm.replica_disks m a in
-        let candidates = List.mapi (fun j d -> (j, d)) disks in
-        let healthy =
-          List.filter (fun (_, d) -> not (Pdm.disk_down m d)) candidates
-        in
-        match healthy with
-        | [] ->
-          let d0 = match disks with d :: _ -> d | [] -> a.disk in
-          this_round := (w, 0, d0) :: !this_round
-        | _ -> (
-          let free =
-            List.filter (fun (_, d) -> not (Hashtbl.mem used d)) healthy
-          in
-          match free with
-          | [] -> defer := w :: !defer
-          | (j0, d0) :: rest ->
-            let j, d =
-              List.fold_left
-                (fun (bj, bd) (j, d) ->
-                  if t.disk_load.(d) < t.disk_load.(bd) then (j, d)
-                  else (bj, bd))
-                (j0, d0) rest
-            in
-            Hashtbl.add used d ();
-            this_round := (w, j, d) :: !this_round))
-      !remaining;
-    let issue = List.rev !this_round in
-    let assignment = List.map (fun ((a, _), j, _) -> (a, j)) issue in
+  let r = Pdm.replicas m in
+  let phys = Array.length t.taken in
+  let n = List.length wanted in
+  reserve t n r;
+  Array.fill t.waiting_on 0 phys 0;
+  List.iteri
+    (fun i (a, p) ->
+      t.w_addr.(i) <- a;
+      t.w_owner.(i) <- p;
+      t.w_next.(i) <- (if i + 1 < n then i + 1 else -1);
+      for j = 0 to r - 1 do
+        let d = Pdm.replica_disk m a j in
+        t.w_disks.((i * r) + j) <- d;
+        t.waiting_on.(d) <- t.waiting_on.(d) + 1
+      done)
+    wanted;
+  let head = ref (if n > 0 then 0 else -1) in
+  while !head >= 0 do
+    t.stamp <- t.stamp + 1;
+    let stamp = t.stamp in
+    let open_disks = ref 0 in
+    for d = 0 to phys - 1 do
+      if t.waiting_on.(d) > 0 then incr open_disks
+    done;
+    let n_issued = ref 0 in
+    let prev = ref (-1) and i = ref !head in
+    while !i >= 0 && !open_disks > 0 do
+      let b = !i in
+      let next = t.w_next.(b) in
+      let base = b * r in
+      let healthy = ref false and best = ref (-1) in
+      for j = 0 to r - 1 do
+        let d = t.w_disks.(base + j) in
+        if not (Pdm.disk_down m d) then begin
+          healthy := true;
+          if
+            t.taken.(d) <> stamp
+            && (!best < 0
+               || t.disk_load.(d) < t.disk_load.(t.w_disks.(base + !best)))
+          then best := j
+        end
+      done;
+      let rep =
+        if not !healthy then 0
+        else if !best < 0 then -1
+        else begin
+          let d = t.w_disks.(base + !best) in
+          t.taken.(d) <- stamp;
+          decr open_disks;
+          !best
+        end
+      in
+      if rep < 0 then prev := b
+      else begin
+        t.issued.(!n_issued) <- b;
+        t.issued_rep.(!n_issued) <- rep;
+        incr n_issued;
+        if !prev < 0 then head := next else t.w_next.(!prev) <- next;
+        for j = 0 to r - 1 do
+          let d = t.w_disks.(base + j) in
+          t.waiting_on.(d) <- t.waiting_on.(d) - 1;
+          if t.waiting_on.(d) = 0 && t.taken.(d) <> stamp then
+            decr open_disks
+        done
+      end;
+      i := next
+    done;
+    let assignment = ref [] in
+    for k = !n_issued - 1 downto 0 do
+      assignment :=
+        (t.w_addr.(t.issued.(k)), t.issued_rep.(k)) :: !assignment
+    done;
     let before = Pdm.rounds_total m in
     let fetched =
-      try Pdm.read_preferring m assignment
+      try Pdm.read_preferring m !assignment
       with e -> (
         match Backend.describe e with
         | None -> raise e
@@ -258,43 +340,41 @@ let fetch_all t tbl wanted =
             | Backend.Retries_exhausted { disk; _ } -> disk
             | _ -> -1
           in
-          let culprit =
-            match
-              List.find_opt
-                (fun ((a, _), _, _) ->
-                  List.mem failing_disk (Pdm.replica_disks m a))
-                issue
-            with
-            | Some ((_, p), _, _) -> Some p
-            | None ->
-              (match issue with ((_, p), _, _) :: _ -> Some p | [] -> None)
+          let lists_failing b =
+            let rec go j =
+              j < r && (t.w_disks.((b * r) + j) = failing_disk || go (j + 1))
+            in
+            go 0
           in
-          (match culprit with
-           | None ->
-             (* an empty round cannot have raised; re-surface as-is *)
-             raise e
-           | Some culprit ->
-             raise
-               (Request_failed
-                  { id = culprit.id; key = request_key culprit.request;
-                    error = e })))
+          let rec find k =
+            if k >= !n_issued then 0
+            else if lists_failing t.issued.(k) then k
+            else find (k + 1)
+          in
+          (* an empty round cannot have raised; re-surface as-is *)
+          if !n_issued = 0 then raise e;
+          let culprit = t.w_owner.(t.issued.(find 0)) in
+          raise
+            (Request_failed
+               { id = culprit.id; key = request_key culprit.request;
+                 error = e }))
     in
     let delta = max 1 (Pdm.rounds_total m - before) in
     t.round <- t.round + delta;
     t.fetch_rounds <- t.fetch_rounds + delta;
     t.blocks_fetched <- t.blocks_fetched + List.length fetched;
     t.util <- List.length fetched :: t.util;
-    List.iter
-      (fun (_, _, d) -> t.disk_load.(d) <- t.disk_load.(d) + 1)
-      issue;
+    for k = 0 to !n_issued - 1 do
+      let d = t.w_disks.((t.issued.(k) * r) + t.issued_rep.(k)) in
+      t.disk_load.(d) <- t.disk_load.(d) + 1
+    done;
     List.iter
       (fun (a, data) ->
         Hashtbl.replace tbl a data;
         match t.cache with
         | Some c -> Cache.note_fetched c a data
         | None -> ())
-      fetched;
-    remaining := List.rev !defer
+      fetched
   done
 
 (* pdm-lint: domain local — batch bookkeeping on t; batches are formed and executed on one domain *)

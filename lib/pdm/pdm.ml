@@ -143,6 +143,12 @@ let check_addr t { disk; block } =
   if block < 0 || block >= t.blocks_per_disk then
     invalid_arg "Pdm: block out of range"
 
+let replica_disk t a j =
+  check_addr t a;
+  if j < 0 || j >= t.replicas then
+    invalid_arg "Pdm.replica_disk: replica out of range";
+  (phys t a j).disk
+
 let replica_disks t a =
   check_addr t a;
   List.init t.replicas (fun j -> (phys t a j).disk)

@@ -180,6 +180,10 @@ val replica_disks : 'a t -> addr -> int list
     repair-time remapping). A scheduler can combine this with
     {!disk_down} to place a read on the least-loaded healthy copy. *)
 
+val replica_disk : 'a t -> addr -> int -> int
+(** [replica_disk t a j] is element [j] of [replica_disks t a],
+    without building the list. *)
+
 val read_preferring : 'a t -> (addr * int) list -> (addr * 'a option array) list
 (** [read_preferring t [(a, j); ...]] is {!read} with the replica
     choice made by the caller: block [a] is served by replica [j]

@@ -65,10 +65,14 @@ let mailbox_depth mb =
 
 type done_queue = { dq_mu : Mutex.t; dq_q : completion Queue.t }
 
+(* Answers whether the queue was empty before the push: only that
+   push needs to wake the listener (see [complete_job]). *)
 let done_push dq c =
   Mutex.lock dq.dq_mu;
+  let was_empty = Queue.is_empty dq.dq_q in
   Queue.add c dq.dq_q;
-  Mutex.unlock dq.dq_mu
+  Mutex.unlock dq.dq_mu;
+  was_empty
 
 let done_drain dq =
   Mutex.lock dq.dq_mu;
@@ -170,6 +174,17 @@ let describe_error e =
   | Some m -> m
   | None -> Printexc.to_string underlying
 
+(* Wake the listener only on the completion queue's empty -> non-empty
+   transition. A push onto a non-empty queue finds there an item X
+   whose pusher writes (or has written) a wake byte after pushing X.
+   No [done_drain] ran between X's push and this one (it would have
+   taken X), and the listener calls [done_drain] after every [select]
+   return, including the one X's byte causes, so the drain that takes
+   X runs after this push and takes this completion too. *)
+let complete_job t c =
+  if done_push t.dq c then
+    ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+
 let worker_loop t w =
   let mb = t.mailboxes.(w) in
   let running = ref true in
@@ -182,8 +197,7 @@ let worker_loop t w =
         | rs -> List.map2 (fun (i, _) r -> (i, r)) ops rs
         | exception e -> List.map (fun (i, _) -> (i, Error e)) ops
       in
-      done_push t.dq (C_data { conn; frame; results });
-      ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+      complete_job t (C_data { conn; frame; results })
     | Admin { conn; frame; shard; action } ->
       let outcome =
         try
@@ -193,8 +207,7 @@ let worker_loop t w =
           Ok ()
         with e -> Error e
       in
-      done_push t.dq (C_admin { conn; frame; outcome });
-      ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+      complete_job t (C_admin { conn; frame; outcome })
   done
 
 (* ------------------------------------------------------------------ *)
@@ -210,8 +223,8 @@ let rec write_all fd buf off len =
    failed write just retires the connection *)
 let send_reply (t : t) conn rep_frame =
   if conn.alive then
-    try write_all conn.fd (Wire.encode_reply rep_frame) 0
-          (Bytes.length (Wire.encode_reply rep_frame))
+    let buf = Wire.encode_reply rep_frame in
+    try write_all conn.fd buf 0 (Bytes.length buf)
     with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
       conn.alive <- false;
       (try Unix.close conn.fd with Unix.Unix_error _ -> ());

@@ -439,6 +439,469 @@ let test_guard_unifies_failure_reporting () =
   | exception Engine.Request_failed { id = 4; key = 5; error = Exit } -> ()
   | exception e -> raise e
 
+(* --- the round planner against the list-based reference --- *)
+
+(* The engine's round planner before it kept its scratch in arrays: a
+   list pass over every waiting block per round, a fresh [used] table
+   per round, and the least-loaded free healthy replica chosen by a
+   fold (ties to the first replica in home order, or to the last when
+   [tie_last] — a deliberately wrong planner the differential check
+   must tell apart). With the batch loop around it (lookups only, no
+   cache), it is the reference the engine's answers, rounds and
+   per-round disk traces must match exactly. *)
+module Ref_engine = struct
+  type pending = { id : int; key : int; submitted : int }
+
+  type t = {
+    m : int Pdm.t;
+    lookup : int -> Engine.step;
+    tie_last : bool;
+    disk_load : int array;
+    mutable next_id : int;
+    mutable round : int;
+    mutable fetch_rounds : int;
+    mutable blocks_fetched : int;
+    mutable served : int;
+    mutable batches : int;
+    mutable coalesced : int;
+    mutable total_latency : int;
+    mutable max_latency : int;
+    mutable util : int list;
+    mutable outcomes : (int * Bytes.t option * int * int) list;
+    mutable queue : pending list;  (* reversed *)
+  }
+
+  let create ?(tie_last = false) (dict : Engine.dict) =
+    { m = dict.Engine.machine; lookup = dict.Engine.lookup; tie_last;
+      disk_load = Array.make (Pdm.physical_disks dict.Engine.machine) 0;
+      next_id = 0; round = 0; fetch_rounds = 0; blocks_fetched = 0;
+      served = 0; batches = 0; coalesced = 0; total_latency = 0;
+      max_latency = 0; util = []; outcomes = []; queue = [] }
+
+  let submit t key =
+    t.queue <- { id = t.next_id; key; submitted = t.round } :: t.queue;
+    t.next_id <- t.next_id + 1
+
+  let complete t p v =
+    let lat = t.round - p.submitted in
+    t.served <- t.served + 1;
+    t.total_latency <- t.total_latency + lat;
+    t.max_latency <- max t.max_latency lat;
+    t.outcomes <- (p.id, v, p.submitted, t.round) :: t.outcomes
+
+  let rec settle tbl st =
+    match st with
+    | Engine.Done _ -> st
+    | Engine.Fetch (addrs, k) ->
+      if List.for_all (Hashtbl.mem tbl) addrs then
+        settle tbl (k (List.map (fun a -> (a, Hashtbl.find tbl a)) addrs))
+      else st
+
+  let fetch_all t tbl wanted =
+    let m = t.m in
+    let remaining = ref wanted in
+    while !remaining <> [] do
+      let used = Hashtbl.create 16 in
+      let this_round = ref [] and defer = ref [] in
+      List.iter
+        (fun ((a, _) as w) ->
+          let disks = Pdm.replica_disks m a in
+          let healthy =
+            List.filter
+              (fun (_, d) -> not (Pdm.disk_down m d))
+              (List.mapi (fun j d -> (j, d)) disks)
+          in
+          match healthy with
+          | [] -> this_round := (w, 0, List.hd disks) :: !this_round
+          | _ -> (
+            let free =
+              List.filter (fun (_, d) -> not (Hashtbl.mem used d)) healthy
+            in
+            match free with
+            | [] -> defer := w :: !defer
+            | (j0, d0) :: rest ->
+              let better d bd =
+                if t.tie_last then t.disk_load.(d) <= t.disk_load.(bd)
+                else t.disk_load.(d) < t.disk_load.(bd)
+              in
+              let j, d =
+                List.fold_left
+                  (fun (bj, bd) (j, d) ->
+                    if better d bd then (j, d) else (bj, bd))
+                  (j0, d0) rest
+              in
+              Hashtbl.add used d ();
+              this_round := (w, j, d) :: !this_round))
+        !remaining;
+      let issue = List.rev !this_round in
+      let before = Pdm.rounds_total m in
+      let fetched =
+        try
+          Pdm.read_preferring m (List.map (fun ((a, _), j, _) -> (a, j)) issue)
+        with e when Backend.describe e <> None ->
+          let failing_disk =
+            match e with
+            | Backend.Disk_failed err | Backend.Corrupt_block err ->
+              err.Backend.disk
+            | Backend.Retries_exhausted { disk; _ } -> disk
+            | _ -> -1
+          in
+          let (_, p), _, _ =
+            match
+              List.find_opt
+                (fun ((a, _), _, _) ->
+                  List.mem failing_disk (Pdm.replica_disks m a))
+                issue
+            with
+            | Some x -> x
+            | None -> List.hd issue
+          in
+          raise (Engine.Request_failed { id = p.id; key = p.key; error = e })
+      in
+      let delta = max 1 (Pdm.rounds_total m - before) in
+      t.round <- t.round + delta;
+      t.fetch_rounds <- t.fetch_rounds + delta;
+      t.blocks_fetched <- t.blocks_fetched + List.length fetched;
+      t.util <- List.length fetched :: t.util;
+      List.iter (fun (_, _, d) -> t.disk_load.(d) <- t.disk_load.(d) + 1) issue;
+      List.iter (fun (a, data) -> Hashtbl.replace tbl a data) fetched;
+      remaining := List.rev !defer
+    done
+
+  let run_batch t batch =
+    t.batches <- t.batches + 1;
+    let tbl = Hashtbl.create 64 in
+    let rec pass inflight =
+      let still =
+        List.filter
+          (fun (p, str) ->
+            match settle tbl !str with
+            | Engine.Done v ->
+              complete t p v;
+              false
+            | st ->
+              str := st;
+              true)
+          inflight
+      in
+      if still <> [] then begin
+        let seen = Hashtbl.create 64 in
+        let wanted = ref [] in
+        List.iter
+          (fun (p, str) ->
+            match !str with
+            | Engine.Done _ -> ()
+            | Engine.Fetch (addrs, _) ->
+              List.iter
+                (fun a ->
+                  if Hashtbl.mem tbl a || Hashtbl.mem seen a then
+                    t.coalesced <- t.coalesced + 1
+                  else begin
+                    Hashtbl.add seen a ();
+                    wanted := (a, p) :: !wanted
+                  end)
+                addrs)
+          still;
+        if !wanted <> [] then fetch_all t tbl (List.rev !wanted);
+        pass still
+      end
+    in
+    pass (List.map (fun p -> (p, ref (t.lookup p.key))) batch)
+
+  let drain t =
+    let batch = List.rev t.queue in
+    t.queue <- [];
+    if batch <> [] then run_batch t batch
+end
+
+(* [Fail_reads d] leaves disk d up but makes its next read answer
+   [Lost]: the machine finds the disk down in the middle of the next
+   batch that reads it, between two rounds of one [fetch_all]. *)
+type planner_event = Batch of int list | Kill of int | Fail_reads of int | Scrub
+
+type planner_scenario = {
+  sc_seed : int;
+  sc_replicas : int;
+  sc_spares : int;
+  sc_disks : int;
+  sc_events : planner_event list;
+}
+
+let planner_blocks = 6
+
+(* Twin-able machine: every block of logical disk d holds 100 d + b.
+   Key k probes one to three blocks picked by hashing (k, seed), and
+   one key in three then probes a second-phase block, as the cascade
+   does. Each disk's backend answers [Lost] to reads once its
+   [failing] flag is set. *)
+let planner_dict sc =
+  let failing = Array.make (sc.sc_disks + sc.sc_spares) false in
+  let backends disk =
+    let b =
+      Backend.memory ~disk ~blocks:(sc.sc_replicas * planner_blocks)
+    in
+    { b with
+      Backend.read =
+        (fun ~attempt blk ->
+          if failing.(disk) then Backend.Lost else b.Backend.read ~attempt blk)
+    }
+  in
+  let m =
+    Pdm.create ~backends ~replicas:sc.sc_replicas ~spares:sc.sc_spares
+      ~disks:sc.sc_disks ~block_size:4 ~blocks_per_disk:planner_blocks ()
+  in
+  for d = 0 to sc.sc_disks - 1 do
+    for b = 0 to planner_blocks - 1 do
+      Pdm.write_one m { Pdm.disk = d; block = b } (block_of m [ (100 * d) + b ])
+    done
+  done;
+  let tr = Pdm_sim.Trace.create ~capacity:100_000 () in
+  Pdm.set_trace m (Some tr);
+  let h k i = Prng.hash3 ~seed:sc.sc_seed k i 0 land max_int in
+  let addr k i =
+    { Pdm.disk = h k i mod sc.sc_disks;
+      block = h k (i + 100) mod planner_blocks }
+  in
+  let phase1 k = List.init (1 + (h k 7 mod 3)) (addr k) in
+  let phase2 k = if h k 8 mod 3 = 0 then [ addr k 50 ] else [] in
+  let decode acc bs =
+    List.fold_left
+      (fun acc (_, arr) ->
+        match arr.(0) with Some v -> (acc * 31) + v | None -> acc)
+      acc bs
+  in
+  let answer acc = Engine.Done (Some (Bytes.of_string (string_of_int acc))) in
+  let lookup k =
+    Engine.Fetch
+      ( phase1 k,
+        fun bs ->
+          let acc = decode k bs in
+          match phase2 k with
+          | [] -> answer acc
+          | p2 -> Engine.Fetch (p2, fun bs -> answer (decode acc bs)) )
+  in
+  ( m, tr, failing,
+    { Engine.name = "planner"; machine = m; lookup; insert = None;
+      delete = None } )
+
+type planner_run = {
+  events : Pdm_sim.Trace.event list;
+  answers : (int * Bytes.t option * int * int) list;
+  counters : int list;
+  util : int array;
+  failures : (int * int * string option) list;
+  down : bool list;  (* per physical disk, after the last event *)
+}
+
+let apply_machine_event m failing = function
+  | Kill d -> Pdm.kill_disk m d
+  | Fail_reads d -> failing.(d) <- true
+  | Scrub -> ignore (Pdm.scrub m)
+  | Batch _ -> ()
+
+let run_engine_planner sc =
+  let m, tr, failing, dict = planner_dict sc in
+  let eng = Engine.create ~config:(one_batch_config 64) dict in
+  let failures = ref [] and answers = ref [] in
+  List.iter
+    (fun ev ->
+      apply_machine_event m failing ev;
+      match ev with
+      | Batch keys -> (
+        List.iter (fun k -> ignore (Engine.submit eng (Engine.Lookup k))) keys;
+        (try Engine.drain eng
+         with Engine.Request_failed { id; key; error } ->
+           failures := (id, key, Backend.describe error) :: !failures);
+        answers :=
+          List.rev_map
+            (fun (o : Engine.outcome) ->
+              (o.Engine.id, o.Engine.value, o.Engine.submitted,
+               o.Engine.completed))
+            (Engine.take_outcomes eng)
+          @ !answers)
+      | Kill _ | Fail_reads _ | Scrub -> ())
+    sc.sc_events;
+  let s = Engine.stats eng in
+  { events = Pdm_sim.Trace.events tr;
+    answers = List.rev !answers;
+    counters =
+      [ s.Engine.rounds; s.Engine.fetch_rounds; s.Engine.insert_rounds;
+        s.Engine.blocks_fetched; s.Engine.requests_served; s.Engine.batches;
+        s.Engine.coalesced; s.Engine.cache_hits; s.Engine.total_latency;
+        s.Engine.max_latency ];
+    util = Engine.utilization_histogram eng;
+    failures = List.rev !failures;
+    down = List.init (Pdm.physical_disks m) (Pdm.disk_down m) }
+
+let run_reference_planner ?tie_last sc =
+  let m, tr, failing, dict = planner_dict sc in
+  let r = Ref_engine.create ?tie_last dict in
+  let failures = ref [] and answers = ref [] in
+  List.iter
+    (fun ev ->
+      apply_machine_event m failing ev;
+      match ev with
+      | Batch keys ->
+        List.iter (Ref_engine.submit r) keys;
+        (try Ref_engine.drain r
+         with Engine.Request_failed { id; key; error } ->
+           failures := (id, key, Backend.describe error) :: !failures);
+        answers :=
+          List.rev (List.sort compare r.Ref_engine.outcomes) @ !answers;
+        r.Ref_engine.outcomes <- []
+      | Kill _ | Fail_reads _ | Scrub -> ())
+    sc.sc_events;
+  let open Ref_engine in
+  { events = Pdm_sim.Trace.events tr;
+    answers = List.rev !answers;
+    counters =
+      [ r.round; r.fetch_rounds; 0; r.blocks_fetched; r.served; r.batches;
+        r.coalesced; 0; r.total_latency; r.max_latency ];
+    util = Array.of_list (List.rev r.util);
+    failures = List.rev !failures;
+    down = List.init (Pdm.physical_disks m) (Pdm.disk_down m) }
+
+
+(* Zipf batches (s = 1.1 over 40 keys, so keys repeat within a batch)
+   of 1 .. 48 lookups. *)
+let planner_zipf = Pdm_util.Zipf.create ~n:40 ~s:1.1
+
+let zipf_batch rng =
+  Batch
+    (List.init (1 + Prng.int rng 48) (fun _ ->
+         Pdm_util.Zipf.sample planner_zipf rng))
+
+(* A scenario from a seed: D = r + 1 .. r + 3 logical disks, four to
+   seven batches, a disk killed or set to fail its next read before
+   the first batch one time in three, and between batches a kill or a
+   read failure (any physical disk, spares included) or a scrub (which
+   re-replicates onto a spare). *)
+let planner_scenario ~seed ~replicas ~spares =
+  let rng = Prng.create seed in
+  let disks = replicas + 1 + Prng.int rng 3 in
+  let phys = disks + spares in
+  let between () =
+    match Prng.int rng 7 with
+    | 0 -> [ Kill (Prng.int rng phys) ]
+    | 1 -> [ Fail_reads (Prng.int rng phys) ]
+    | 2 -> [ Scrub ]
+    | _ -> []
+  in
+  let before =
+    match Prng.int rng 6 with
+    | 0 -> [ Kill (Prng.int rng phys) ]
+    | 1 -> [ Fail_reads (Prng.int rng phys) ]
+    | _ -> []
+  in
+  let batches =
+    List.init (4 + Prng.int rng 4) (fun _ ->
+        let ev = between () in
+        ev @ [ zipf_batch rng ])
+  in
+  { sc_seed = seed; sc_replicas = replicas; sc_spares = spares;
+    sc_disks = disks; sc_events = before @ List.concat batches }
+
+let same_run a b =
+  a.events = b.events && a.answers = b.answers && a.counters = b.counters
+  && a.util = b.util && a.failures = b.failures && a.down = b.down
+
+let check_same_run what expect got =
+  Alcotest.(check (list int)) (what ^ ": Engine.stats") expect.counters
+    got.counters;
+  Alcotest.(check (array int)) (what ^ ": utilization") expect.util got.util;
+  checkb (what ^ ": answers") true (expect.answers = got.answers);
+  checkb (what ^ ": failed request ids") true (expect.failures = got.failures);
+  checkb (what ^ ": per-round traces") true (expect.events = got.events);
+  Alcotest.(check (list bool)) (what ^ ": disks down") expect.down got.down
+
+let prop_planner_matches_reference =
+  QCheck.Test.make ~name:"round planner = list-based reference" ~count:120
+    QCheck.(triple (int_bound 99_999) (int_range 1 3) (int_range 0 1))
+    (fun (seed, replicas, spares) ->
+      let sc = planner_scenario ~seed ~replicas ~spares in
+      same_run (run_reference_planner sc) (run_engine_planner sc))
+
+(* Every replica count and spare setting, a disk killed before the
+   first batch and another between batches, a disk whose reads start
+   failing inside a batch, a scrub in between. *)
+let test_planner_fixed_grid () =
+  List.iter
+    (fun (replicas, spares) ->
+      let rng = Prng.create ((10 * replicas) + spares) in
+      let b1 = zipf_batch rng in
+      let b2 = zipf_batch rng in
+      let b3 = zipf_batch rng in
+      let b4 = zipf_batch rng in
+      let b5 = zipf_batch rng in
+      let sc =
+        { sc_seed = replicas; sc_replicas = replicas; sc_spares = spares;
+          sc_disks = replicas + 2;
+          sc_events =
+            [ Kill (replicas + 1); b1; b2; Kill 0; b3; Scrub; b4;
+              Fail_reads 1; b5 ] }
+      in
+      check_same_run
+        (Printf.sprintf "r=%d spares=%d" replicas spares)
+        (run_reference_planner sc) (run_engine_planner sc))
+    [ (1, 0); (1, 1); (2, 0); (2, 1); (3, 0); (3, 1) ]
+
+(* r = 2 with disks 1 and 2 dead: blocks homed on disk 1 have no live
+   replica, are issued on replica 0 anyway, and fail with the id of
+   the oldest request waiting on them — the same id in both. *)
+let test_planner_all_replicas_dead () =
+  let rng = Prng.create 5 in
+  let b1 = zipf_batch rng in
+  let b2 = zipf_batch rng in
+  let b3 = zipf_batch rng in
+  let sc =
+    { sc_seed = 5; sc_replicas = 2; sc_spares = 0; sc_disks = 4;
+      sc_events = [ b1; Kill 1; Kill 2; b2; b3 ] }
+  in
+  let expect = run_reference_planner sc in
+  checkb "some request failed" true (expect.failures <> []);
+  check_same_run "all replicas dead" expect (run_engine_planner sc)
+
+(* r = 2 over three disks, disk 1 answering [Lost] from the start of
+   a 48-lookup batch. The batch's first fetch wants more blocks than
+   there are disks, and its first round takes every disk, so its read
+   on disk 1 is lost (the first trace record serves disks 0 and 2
+   only), disk 1 is found down, and the fetch's later rounds plan
+   around it; every block still has a live replica, so no request
+   fails. *)
+let test_planner_disk_fails_mid_batch () =
+  let rng = Prng.create 9 in
+  let batch =
+    Batch (List.init 48 (fun _ -> Pdm_util.Zipf.sample planner_zipf rng))
+  in
+  let sc =
+    { sc_seed = 9; sc_replicas = 2; sc_spares = 0; sc_disks = 3;
+      sc_events = [ Fail_reads 1; batch ] }
+  in
+  let expect = run_reference_planner sc in
+  Alcotest.(check (list bool)) "disk 1 found down" [ false; true; false ]
+    expect.down;
+  checkb "no request failed" true (expect.failures = []);
+  let served e = e.Pdm_sim.Trace.per_disk in
+  checkb "first round lost disk 1 only" true
+    (match expect.events with
+     | e :: _ -> (served e).(0) > 0 && (served e).(1) = 0 && (served e).(2) > 0
+     | [] -> false);
+  checkb "more rounds after it" true (List.length expect.events > 2);
+  check_same_run "disk fails mid-batch" expect (run_engine_planner sc)
+
+(* The comparison is sharp enough to reject a planner that breaks
+   load ties toward the last replica instead of the first. *)
+let test_planner_check_catches_tie_break () =
+  let caught =
+    List.filter
+      (fun seed ->
+        let sc = planner_scenario ~seed ~replicas:2 ~spares:0 in
+        not (same_run (run_reference_planner ~tie_last:true sc)
+               (run_engine_planner sc)))
+      [ 1; 2; 3 ]
+  in
+  check "every scenario tells the two apart" 3 (List.length caught)
+
 let suite =
   [ ("engine.coalescing",
      [ tc "all-same-key batch" `Quick test_all_same_key_coalesces;
@@ -474,5 +937,14 @@ let suite =
          test_cache_coherent_after_journal_replay;
        tc "scrub repair invalidates" `Quick
          test_cache_coherent_after_scrub_repair ]);
+    ("engine.planner",
+     [ tc "fixed grid: r, spares, kills, scrub" `Quick test_planner_fixed_grid;
+       tc "all replicas dead: same failed id" `Quick
+         test_planner_all_replicas_dead;
+       tc "disk fails inside a batch" `Quick
+         test_planner_disk_fails_mid_batch;
+       tc "catches a last-replica tie-break" `Quick
+         test_planner_check_catches_tie_break;
+       QCheck_alcotest.to_alcotest prop_planner_matches_reference ]);
     ("experiments.engine",
      [ tc "E18 at test scale" `Quick test_engine_experiment_small ]) ]
